@@ -178,9 +178,9 @@ func BenchmarkSGEMMContext(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroTiles compares the supported register micro-tiles through
-// the same blocked driver (the 4×4 tile is the default; see
-// internal/blas/kernel.go for why the wide tiles lose under gc).
+// BenchmarkMicroTiles compares the register micro-tiles through the same
+// blocked driver: the portable 4×4 fallback and, on AVX2+FMA CPUs, the
+// FP32 asm 8×8 tile (internal/blas/kernel.go).
 func BenchmarkMicroTiles(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	A := mat.NewF32(256, 256)
@@ -188,11 +188,14 @@ func BenchmarkMicroTiles(b *testing.B) {
 	C := mat.NewF32(256, 256)
 	A.FillRandom(rng)
 	B.FillRandom(rng)
-	for _, tile := range [][2]int{{4, 4}, {8, 4}, {4, 8}} {
+	for _, tile := range [][2]int{{4, 4}, {8, 8}} {
 		p := blas.DefaultParams()
 		p.MR, p.NR = tile[0], tile[1]
 		p.MC = 16 * tile[0]
 		p.NC = 256 * tile[1]
+		if p.Validate() != nil {
+			continue // no asm tile on this CPU or build
+		}
 		b.Run(fmt.Sprintf("%dx%d", tile[0], tile[1]), func(b *testing.B) {
 			b.SetBytes(2 * 256 * 256 * 256)
 			for i := 0; i < b.N; i++ {
@@ -205,7 +208,8 @@ func BenchmarkMicroTiles(b *testing.B) {
 }
 
 // BenchmarkBlockingParams ablates the cache-blocking parameters of the GEMM
-// substrate (DESIGN.md §5): default vs small blocks.
+// substrate (DESIGN.md §5): default vs small blocks, on the 4×4 fallback
+// and the 8×8 asm tile (MR=8 rows run only where the CPU has it).
 func BenchmarkBlockingParams(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	A := mat.NewF32(256, 256)
@@ -220,8 +224,18 @@ func BenchmarkBlockingParams(b *testing.B) {
 		{"default", blas.DefaultParams()},
 		{"tiny-blocks", blas.Params{MC: 32, KC: 32, NC: 64, MR: 4, NR: 4}},
 		{"deep-k", blas.Params{MC: 64, KC: 512, NC: 1024, MR: 4, NR: 4}},
+		{"mr8-tiny-blocks", blas.Params{MC: 32, KC: 32, NC: 64, MR: 8, NR: 8}},
+		{"mr8-deep-k", blas.Params{MC: 64, KC: 512, NC: 1024, MR: 8, NR: 8}},
+		{"mr8-mc64", blas.Params{MC: 64, KC: 256, NC: 2048, MR: 8, NR: 8}},
+		{"mr8-mc256", blas.Params{MC: 256, KC: 256, NC: 2048, MR: 8, NR: 8}},
+		{"mr8-kc128", blas.Params{MC: 128, KC: 128, NC: 2048, MR: 8, NR: 8}},
+		{"mr8-kc512", blas.Params{MC: 128, KC: 512, NC: 2048, MR: 8, NR: 8}},
 	} {
+		if cfg.p.Validate() != nil {
+			continue // no asm tile on this CPU or build
+		}
 		b.Run(cfg.name, func(b *testing.B) {
+			b.SetBytes(2 * 256 * 256 * 256)
 			for i := 0; i < b.N; i++ {
 				if err := blas.SGEMMWithParams(false, false, 1, A, B, 0, C, 1, cfg.p); err != nil {
 					b.Fatal(err)

@@ -27,24 +27,76 @@ import (
 // Params holds the blocking parameters of the five-loop algorithm.
 type Params struct {
 	MC, KC, NC int // cache block sizes (rows of A, depth, cols of B)
-	MR, NR     int // register micro-tile
+	// MR×NR is the register micro-tile: the 4×4 fallback or the precision's
+	// asm tile (see kernel.go). Zero for both picks, per call, the asm tile
+	// when this CPU has one and the fallback otherwise.
+	MR, NR int
 }
 
-// DefaultParams returns blocking parameters sized for typical L1/L2/L3
-// capacities. The 4×4 micro-tile is the fastest of the supported set under
-// the gc register allocator (see kernel.go); 8×4 and 4×8 are available for
-// experimentation via SGEMMWithParams.
+// DefaultParams returns the default blocking. Its micro-tile is picked per
+// precision, and calls made with exactly these parameters — every call
+// without explicit Params — may take the small-shape path.
+//
+// The blocks were re-measured for the 8×8 asm tile with
+// BenchmarkBlockingParams (256³ SGEMM, 1 thread, median of 3, on a 2-vCPU
+// Intel Xeon with AVX2/FMA/AVX-512F, Go 1.24): MC/KC/NC 128/256/2048
+// reached 44.5 GFLOP/s; MC 64 or 256 gave 37.6 and 36.4, KC 128 or 512
+// gave 35.8 and 31.7, and 64/512/1024 gave 40.9. None beat the default, so
+// it stays: the MC×KC A block (128 KiB FP32, 256 KiB FP64) sits in L2 and
+// each 8 KiB KC×NR B micro-panel in L1.
 func DefaultParams() Params {
-	return Params{MC: 128, KC: 256, NC: 2048, MR: defaultMR, NR: defaultNR}
+	return Params{MC: 128, KC: 256, NC: 2048}
 }
 
-// Validate reports whether the parameters can drive the packed kernel.
+// resolveParams returns the parameters a call of precision T runs with,
+// and whether they are the default blocking. The tile must be one of T's.
+func resolveParams[T float32 | float64](p Params) (Params, bool, error) {
+	f32, f64 := asmTileF32, tile{}
+	if !isF32[T]() {
+		f32, f64 = tile{}, asmTileF64
+	}
+	q := p.withTile(asmTile[T]())
+	return q, p == DefaultParams(), q.validate(f32, f64)
+}
+
+// withTile fills a zero micro-tile with t, or with the fallback when t is
+// the zero tile.
+func (p Params) withTile(t tile) Params {
+	if p.MR == 0 && p.NR == 0 {
+		if t == (tile{}) {
+			t = fallbackTile
+		}
+		p.MR, p.NR = t.mr, t.nr
+	}
+	return p
+}
+
+// Validate reports whether the parameters can drive the packed kernel. The
+// micro-tile must be the 4×4 fallback, or on a CPU with AVX2+FMA an asm
+// tile: 8×8 for FP32 calls only, 8×4 for FP64 calls only. A zero tile must
+// fit the blocking of every precision's pick.
 func (p Params) Validate() error {
+	if err := p.withTile(asmTileF32).validate(asmTileF32, asmTileF64); err != nil {
+		return err
+	}
+	return p.withTile(asmTileF64).validate(asmTileF32, asmTileF64)
+}
+
+// validate checks p against the fallback tile plus the FP32 and FP64 asm
+// tiles given (a zero tile stands for none).
+func (p Params) validate(f32, f64 tile) error {
 	if p.MC < 1 || p.KC < 1 || p.NC < 1 {
 		return fmt.Errorf("blas: non-positive block sizes %+v", p)
 	}
-	if !supportedTile(p.MR, p.NR) {
-		return fmt.Errorf("blas: micro-tile %dx%d unsupported (have 4x4, 8x4, 4x8)", p.MR, p.NR)
+	if t := (tile{p.MR, p.NR}); t != fallbackTile && t != f32 && t != f64 {
+		s := "4x4 fallback"
+		if f32 != (tile{}) {
+			s += fmt.Sprintf(", %dx%d FP32 asm", f32.mr, f32.nr)
+		}
+		if f64 != (tile{}) {
+			s += fmt.Sprintf(", %dx%d FP64 asm", f64.mr, f64.nr)
+		}
+		return fmt.Errorf("blas: micro-tile %dx%d unsupported (have %s)", p.MR, p.NR, s)
 	}
 	if p.MC%p.MR != 0 {
 		return fmt.Errorf("blas: MC=%d must be a multiple of MR=%d", p.MC, p.MR)
@@ -77,7 +129,7 @@ func DGEMM(transA, transB bool, alpha float64, a *mat.F64, b *mat.F64, beta floa
 }
 
 // SGEMMWithParams is SGEMM with explicit blocking parameters; it exists for
-// the blocking-parameter benchmarks and the wide micro-tile variants.
+// the blocking-parameter benchmarks and for pinning the micro-tile.
 func SGEMMWithParams(transA, transB bool, alpha float32, a *mat.F32, b *mat.F32, beta float32, c *mat.F32, threads int, p Params) error {
 	ctx := ctxPool.Get().(*Context)
 	defer ctxPool.Put(ctx)

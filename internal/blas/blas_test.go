@@ -199,19 +199,26 @@ func TestParamsValidate(t *testing.T) {
 		t.Error("MC=0 should fail")
 	}
 	bad = good
-	bad.MR, bad.NR = 8, 8
+	bad.MR, bad.NR = 6, 6
 	if err := bad.Validate(); err == nil {
 		t.Error("unsupported micro-tile should fail")
 	}
 	bad = good
-	bad.MC = 130 // not a multiple of MR=4
+	bad.MC = 130 // not a multiple of MR (4 or 8)
 	if err := bad.Validate(); err == nil {
 		t.Error("MC not multiple of MR should fail")
 	}
-	for _, tile := range [][2]int{{4, 4}, {8, 4}, {4, 8}} {
-		wide := Params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
-		if err := wide.Validate(); err != nil {
+	for _, tile := range append(tilesOf[float32](), tilesOf[float64]()...) {
+		p := Params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
+		if err := p.Validate(); err != nil {
 			t.Errorf("tile %dx%d should validate: %v", tile[0], tile[1], err)
+		}
+	}
+	for _, tile := range [][2]int{{8, 4}, {4, 8}} {
+		p := Params{MC: 16 * tile[0], KC: 64, NC: 16 * tile[1], MR: tile[0], NR: tile[1]}
+		a, c := mat.NewF32(4, 4), mat.NewF32(4, 4)
+		if err := SSYRKWithParams(false, 1, a, 0, c, 1, p); err == nil {
+			t.Errorf("tile %dx%d has no FP32 kernel, SSYRK should fail", tile[0], tile[1])
 		}
 	}
 }

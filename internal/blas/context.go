@@ -161,7 +161,8 @@ func (c *Context) ensureTeam(workers int) *team {
 // gemmCtx is the five-loop driver: argument checking, degenerate cases, the
 // small-shape fast path, buffer/team setup, and the worker dispatch.
 func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a, b view[T], beta T, c view[T], threads int, prm Params) error {
-	if err := prm.Validate(); err != nil {
+	prm, isDefault, err := resolveParams[T](prm)
+	if err != nil {
 		return err
 	}
 	m, ka := opDims(a, transA)
@@ -191,7 +192,7 @@ func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a,
 	// blocking takes this path — explicit Params mean the caller is
 	// studying the packed algorithm (ablations, micro-tile comparisons)
 	// and must get exactly the configuration they asked for.
-	if prm == DefaultParams() && smallShape(m, n, k) {
+	if isDefault && smallShape(m, n, k) {
 		smallGemm(transA, transB, alpha, a, b, beta, c, m, n, k)
 		return nil
 	}

@@ -1,30 +1,39 @@
 package blas
 
-// Register micro-kernels. The macro-kernel dispatches on the (MR, NR) pair
-// from Params; Validate restricts callers to the tiles implemented here.
+// Register micro-kernels. Each precision has two tiles: the portable pure-Go
+// 4×4 fallback below, and an asm tile (8×8 FP32, 8×4 FP64 with AVX2+FMA;
+// see kernel_amd64.go) present on amd64 CPUs that support it unless the
+// build is tagged purego. Params with a zero tile, the default among them,
+// run the asm tile when there is one; explicit Params may pin either tile,
+// and Validate rejects every other shape.
 //
-// Tile selection (measured on the development machine, see BENCH_gemm.json):
-// the gc compiler has only 16 XMM registers, so the 8×4 and 4×8 tiles spill
-// accumulators to the stack and run ~35% slower than 4×4 despite touching
-// more FLOPs per loop. The 4×4 kernel with the k-loop unrolled 4× is the
-// fastest pure-Go variant (~1.5× the rolled kernel) and is the default; the
-// wide tiles remain available through Params for platforms with more vector
-// registers (and for the blocking-parameter ablation experiments).
-const (
-	defaultMR = 4
-	defaultNR = 4
-	// maxTile is the largest MR*NR product across supported tiles; the
-	// macro-kernel's accumulator block is sized to it.
-	maxTile = 32
-)
+// The asm tile keeps all MR×NR accumulators in vector registers. The
+// fallback stays 4×4 because that is the widest tile gc keeps in its 16
+// scalar float registers: pure-Go 8×4 and 4×8 tiles spill accumulators to
+// the stack and run ~35% slower.
+// maxTile is the largest MR*NR product across the tiles; the macro-kernel's
+// accumulator block is sized to it.
+const maxTile = 64
 
-// supportedTile reports whether an (mr, nr) micro-tile has a kernel.
-func supportedTile(mr, nr int) bool {
-	switch {
-	case mr == 4 && nr == 4, mr == 8 && nr == 4, mr == 4 && nr == 8:
-		return true
+// tile is a register micro-tile shape, MR×NR.
+type tile struct{ mr, nr int }
+
+// fallbackTile is the portable pure-Go tile every build and precision runs.
+var fallbackTile = tile{4, 4}
+
+// asmTile returns the asm tile of precision T on this CPU, or the zero tile
+// when there is none.
+func asmTile[T float32 | float64]() tile {
+	if isF32[T]() {
+		return asmTileF32
 	}
-	return false
+	return asmTileF64
+}
+
+func isF32[T float32 | float64]() bool {
+	var z T
+	_, ok := any(z).(float32)
+	return ok
 }
 
 // macroKernel multiplies the packed mc×kc A block with the packed kc×nc B
@@ -41,16 +50,28 @@ func macroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T, c v
 		for j0 := 0; j0 < nc; j0 += nr {
 			jb := min(nr, nc-j0)
 			bPanel := packedB[(j0/nr)*kc*nr:]
-			switch {
-			case mr == 4 && nr == 4:
-				micro4x4(aPanel, bPanel, kc, &acc)
-			case mr == 8 && nr == 4:
-				micro8x4(aPanel, bPanel, kc, &acc)
-			default: // 4x8, enforced by Validate
-				micro4x8(aPanel, bPanel, kc, &acc)
-			}
+			microTile(aPanel, bPanel, kc, &acc, mr)
 			storeTile(alpha, beta, first, &acc, c, ic+i0, jc+j0, ib, jb, nr)
 		}
+	}
+}
+
+// microTile computes one MR×NR tile into acc (row-major, row stride NR):
+// the 4×4 fallback when mr is 4, else the precision's asm tile, the only
+// other tile Validate admits.
+//
+//adsala:zeroalloc
+func microTile[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T, mr int) {
+	if mr == fallbackTile.mr {
+		micro4x4(aPanel, bPanel, kc, acc)
+		return
+	}
+	// Converting pointers, not slices, to interfaces boxes nothing.
+	switch acc := any(acc).(type) {
+	case *[maxTile]float32:
+		microAsmF32(*any(&aPanel).(*[]float32), *any(&bPanel).(*[]float32), kc, acc)
+	case *[maxTile]float64:
+		microAsmF64(*any(&aPanel).(*[]float64), *any(&bPanel).(*[]float64), kc, acc)
 	}
 }
 
@@ -177,129 +198,6 @@ func micro4x4[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) 
 	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
 	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
 	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
-}
-
-// micro8x4 computes one 8×4 tile (row-major acc layout, stride 4).
-//
-//adsala:zeroalloc
-func micro8x4[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) {
-	var c00, c01, c02, c03 T
-	var c10, c11, c12, c13 T
-	var c20, c21, c22, c23 T
-	var c30, c31, c32, c33 T
-	var c40, c41, c42, c43 T
-	var c50, c51, c52, c53 T
-	var c60, c61, c62, c63 T
-	var c70, c71, c72, c73 T
-	for p := 0; p < kc; p++ {
-		a := aPanel[p*8 : p*8+8]
-		b := bPanel[p*4 : p*4+4]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		a0, a1 := a[0], a[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		a2, a3 := a[2], a[3]
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		a4, a5 := a[4], a[5]
-		c40 += a4 * b0
-		c41 += a4 * b1
-		c42 += a4 * b2
-		c43 += a4 * b3
-		c50 += a5 * b0
-		c51 += a5 * b1
-		c52 += a5 * b2
-		c53 += a5 * b3
-		a6, a7 := a[6], a[7]
-		c60 += a6 * b0
-		c61 += a6 * b1
-		c62 += a6 * b2
-		c63 += a6 * b3
-		c70 += a7 * b0
-		c71 += a7 * b1
-		c72 += a7 * b2
-		c73 += a7 * b3
-	}
-	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
-	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
-	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
-	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
-	acc[16], acc[17], acc[18], acc[19] = c40, c41, c42, c43
-	acc[20], acc[21], acc[22], acc[23] = c50, c51, c52, c53
-	acc[24], acc[25], acc[26], acc[27] = c60, c61, c62, c63
-	acc[28], acc[29], acc[30], acc[31] = c70, c71, c72, c73
-}
-
-// micro4x8 computes one 4×8 tile (row-major acc layout, stride 8).
-//
-//adsala:zeroalloc
-func micro4x8[T float32 | float64](aPanel, bPanel []T, kc int, acc *[maxTile]T) {
-	var c00, c01, c02, c03, c04, c05, c06, c07 T
-	var c10, c11, c12, c13, c14, c15, c16, c17 T
-	var c20, c21, c22, c23, c24, c25, c26, c27 T
-	var c30, c31, c32, c33, c34, c35, c36, c37 T
-	for p := 0; p < kc; p++ {
-		a := aPanel[p*4 : p*4+4]
-		b := bPanel[p*8 : p*8+8]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		b4, b5, b6, b7 := b[4], b[5], b[6], b[7]
-		a0 := a[0]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c04 += a0 * b4
-		c05 += a0 * b5
-		c06 += a0 * b6
-		c07 += a0 * b7
-		a1 := a[1]
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c14 += a1 * b4
-		c15 += a1 * b5
-		c16 += a1 * b6
-		c17 += a1 * b7
-		a2 := a[2]
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c24 += a2 * b4
-		c25 += a2 * b5
-		c26 += a2 * b6
-		c27 += a2 * b7
-		a3 := a[3]
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		c34 += a3 * b4
-		c35 += a3 * b5
-		c36 += a3 * b6
-		c37 += a3 * b7
-	}
-	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
-	acc[4], acc[5], acc[6], acc[7] = c04, c05, c06, c07
-	acc[8], acc[9], acc[10], acc[11] = c10, c11, c12, c13
-	acc[12], acc[13], acc[14], acc[15] = c14, c15, c16, c17
-	acc[16], acc[17], acc[18], acc[19] = c20, c21, c22, c23
-	acc[20], acc[21], acc[22], acc[23] = c24, c25, c26, c27
-	acc[24], acc[25], acc[26], acc[27] = c30, c31, c32, c33
-	acc[28], acc[29], acc[30], acc[31] = c34, c35, c36, c37
 }
 
 // storeTile writes the accumulated tile into C with alpha/beta handling,

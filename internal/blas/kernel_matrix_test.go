@@ -77,6 +77,16 @@ func checkPaddingF32(t *testing.T, m *mat.F32, label string) {
 	}
 }
 
+// tilesOf returns the micro-tiles precision T runs in this build: the 4×4
+// fallback, then the asm tile when the CPU has one.
+func tilesOf[T float32 | float64]() [][2]int {
+	tiles := [][2]int{{fallbackTile.mr, fallbackTile.nr}}
+	if t := asmTile[T](); t != (tile{}) {
+		tiles = append(tiles, [2]int{t.mr, t.nr})
+	}
+	return tiles
+}
+
 // matrixDims returns the edge-dimension set for a tile: 1, MR−1, MR+1,
 // and values that leave remainders against the small MC/KC/NC blocking the
 // matrix test runs with.
@@ -100,7 +110,7 @@ func matrixDims(r int) []int {
 func TestPackedMatchesNaiveMatrix(t *testing.T) {
 	forcePath(t, forcePacked)
 	rng := rand.New(rand.NewSource(20))
-	for _, tile := range [][2]int{{4, 4}, {8, 4}, {4, 8}} {
+	for _, tile := range tilesOf[float32]() {
 		mr, nr := tile[0], tile[1]
 		prm := Params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
 		if err := prm.Validate(); err != nil {
@@ -353,6 +363,23 @@ func TestSGEMMZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("pooled blas.SGEMM: %v allocs/op, want 0", allocs)
+	}
+	// FP64 dispatches to its own asm tile.
+	a64, b64, c64 := randF64(128, 96, rng), randF64(96, 112, rng), mat.NewF64(128, 112)
+	zeroAllocAfterWarm(t, "blas.DGEMM", func() error { return DGEMM(false, false, 1, a64, b64, 0, c64, 2) })
+}
+
+// zeroAllocAfterWarm warms the package pool with call, then fails if it
+// allocates in steady state.
+func zeroAllocAfterWarm(t *testing.T, name string, call func() error) {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = call() }); allocs != 0 {
+		t.Errorf("pooled %s: %v allocs/op, want 0", name, allocs)
 	}
 }
 

@@ -7,10 +7,15 @@ package blas
 // always streams a contiguous row of B (or of C), which is what the packed
 // layout would have bought anyway at these sizes.
 
-// smallShapeLimit bounds m·n·k for the no-packing path (tuned on the
-// development machine: the crossover sits between 32³ and 48³; see
-// BenchmarkSGEMMTiny). A variable rather than a constant so the test matrix
-// can force either path.
+// smallShapeLimit bounds m·n·k for the no-packing path. It was tuned for
+// the pure-Go 4×4 kernel (crossover between 32³ and 48³; see
+// BenchmarkSGEMMTiny). With the asm tile, on a 2-vCPU Intel Xeon
+// (AVX2/FMA, Go 1.24), packing wins for cubes down to 8³ (SGEMM 32³: 6.1 µs
+// packed vs 35 µs unpacked), but the unpacked loops still win 3× on skinny
+// shapes such as 1×64×64 and 2×512×2; perfbench stream-small at limits 24³
+// and 16³ showed no resolvable gain over 40³ (24³ won 2 of 5 pairs), so
+// the limit stays. A variable rather than a constant so the test matrix can
+// force either path.
 var smallShapeLimit = 40 * 40 * 40
 
 // smallShape reports whether an m×n×k problem should skip packing. It must

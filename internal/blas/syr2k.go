@@ -87,7 +87,8 @@ func (c *Context) DSYR2KWithParams(trans bool, alpha float64, a, b *mat.F64, bet
 // lower(alpha·op(A)·op(B)ᵀ), pass 2 accumulates lower(alpha·op(B)·op(A)ᵀ)
 // with beta = 1 and mirrors the completed lower triangle.
 func syr2kCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a, b view[T], beta T, c view[T], threads int, prm Params) error {
-	if err := prm.Validate(); err != nil {
+	prm, isDefault, err := resolveParams[T](prm)
+	if err != nil {
 		return err
 	}
 	n, k := opDims(a, trans)
@@ -113,7 +114,7 @@ func syr2kCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a, b view[
 	// twice the FLOPs of SYRK at the same (n, k), so the threshold halves in
 	// k; it still depends only on the dimensions, keeping results
 	// bit-identical across thread counts.
-	if prm == DefaultParams() && smallShape(n, n, 2*k) {
+	if isDefault && smallShape(n, n, 2*k) {
 		smallSyr2k(trans, alpha, a, b, beta, c, n, k)
 		mirrorLower(c, 0, n)
 		return nil

@@ -17,7 +17,7 @@ func TestSyr2kPackedMatchesNaiveMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	alphas := []float32{0, 1, 1.25}
 	betas := []float32{0, 1, -0.5}
-	for _, tile := range [][2]int{{4, 4}, {8, 4}, {4, 8}} {
+	for _, tile := range tilesOf[float32]() {
 		mr, nr := tile[0], tile[1]
 		prm := Params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
 		if err := prm.Validate(); err != nil {
@@ -213,6 +213,8 @@ func TestSyr2kZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("pooled blas.SSYR2K: %v allocs/op, want 0", allocs)
 	}
+	a64, b64, c64 := randF64(128, 96, rng), randF64(128, 96, rng), mat.NewF64(128, 128)
+	zeroAllocAfterWarm(t, "blas.DSYR2K", func() error { return DSYR2K(false, 1, a64, b64, 0, c64, 2) })
 }
 
 func TestSSYR2KValidation(t *testing.T) {

@@ -86,7 +86,8 @@ func (c *Context) DSYRKWithParams(trans bool, alpha float64, a *mat.F64, beta fl
 // small-shape fast path, buffer/team setup and the worker dispatch. It
 // mirrors gemmCtx with m = n and B = op(A)ᵀ.
 func syrkCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a view[T], beta T, c view[T], threads int, prm Params) error {
-	if err := prm.Validate(); err != nil {
+	prm, isDefault, err := resolveParams[T](prm)
+	if err != nil {
 		return err
 	}
 	n, k := opDims(a, trans)
@@ -108,7 +109,7 @@ func syrkCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a view[T], 
 	// Small shapes skip packing entirely, as in GEMM. The threshold depends
 	// only on the dimensions, so results stay bit-identical across thread
 	// counts.
-	if prm == DefaultParams() && smallShape(n, n, k) {
+	if isDefault && smallShape(n, n, k) {
 		smallSyrk(trans, alpha, a, beta, c, n, k)
 		mirrorLower(c, 0, n)
 		return nil
@@ -275,14 +276,7 @@ func syrkMacroKernel[T float32 | float64](alpha T, packedA, packedB []T, beta T,
 		for j0 := 0; j0 < jLim; j0 += nr {
 			jb := min(nr, jLim-j0)
 			bPanel := packedB[(j0/nr)*kc*nr:]
-			switch {
-			case mr == 4 && nr == 4:
-				micro4x4(aPanel, bPanel, kc, &acc)
-			case mr == 8 && nr == 4:
-				micro8x4(aPanel, bPanel, kc, &acc)
-			default: // 4x8, enforced by Validate
-				micro4x8(aPanel, bPanel, kc, &acc)
-			}
+			microTile(aPanel, bPanel, kc, &acc, mr)
 			ci, cj := ic+i0, jc+j0
 			if cj+jb-1 <= ci {
 				storeTile(alpha, beta, first, &acc, c, ci, cj, ib, jb, nr)

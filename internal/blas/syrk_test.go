@@ -72,7 +72,7 @@ func TestSyrkPackedMatchesNaiveMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	alphas := []float32{0, 1, 1.25}
 	betas := []float32{0, 1, -0.5}
-	for _, tile := range [][2]int{{4, 4}, {8, 4}, {4, 8}} {
+	for _, tile := range tilesOf[float32]() {
 		mr, nr := tile[0], tile[1]
 		prm := Params{MC: 2 * mr, KC: 10, NC: 2 * nr, MR: mr, NR: nr}
 		if err := prm.Validate(); err != nil {
@@ -227,6 +227,8 @@ func TestSyrkZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("pooled blas.SSYRK: %v allocs/op, want 0", allocs)
 	}
+	a64, c64 := randF64(128, 96, rng), mat.NewF64(128, 128)
+	zeroAllocAfterWarm(t, "blas.DSYRK", func() error { return DSYRK(false, 1, a64, 0, c64, 2) })
 }
 
 // TestSyrkGemmInterleavedContext drives one Context through alternating GEMM
@@ -340,7 +342,7 @@ func TestTriangularBands(t *testing.T) {
 // TestSyrkBlockRangePartition checks that the per-panel block partition is a
 // disjoint contiguous cover of all blocks for every worker count.
 func TestSyrkBlockRangePartition(t *testing.T) {
-	prm := DefaultParams()
+	prm := DefaultParams().withTile(asmTileF32)
 	for _, n := range []int{1, 100, 257, 1000} {
 		for _, parts := range []int{1, 2, 3, 7, 16} {
 			for jc := 0; jc < n; jc += prm.NC {
