@@ -96,6 +96,11 @@ func BenchmarkSGEMM256Serial(b *testing.B)    { benchSGEMM(b, 256, 256, 256, 1) 
 func BenchmarkSGEMM256Parallel4(b *testing.B) { benchSGEMM(b, 256, 256, 256, 4) }
 func BenchmarkSGEMMSkinny(b *testing.B)       { benchSGEMM(b, 64, 2048, 64, 1) }
 
+// This row and BenchmarkSSYRK120Parallel2 run two threads on shapes with
+// m ≤ MC, where the second part only has work if the parallel row split is
+// finer than one MC block.
+func BenchmarkSGEMM104x337x684Parallel2(b *testing.B) { benchSGEMM(b, 104, 337, 684, 2) }
+
 // BenchmarkSGEMMTiny covers the no-packing small-shape fast path.
 func BenchmarkSGEMMTiny(b *testing.B) { benchSGEMM(b, 32, 32, 32, 1) }
 
@@ -120,6 +125,7 @@ func BenchmarkSSYRK64Serial(b *testing.B)     { benchSSYRK(b, 64, 64, 1) }
 func BenchmarkSSYRK256Serial(b *testing.B)    { benchSSYRK(b, 256, 256, 1) }
 func BenchmarkSSYRK256Parallel4(b *testing.B) { benchSSYRK(b, 256, 256, 4) }
 func BenchmarkSSYRKWideK(b *testing.B)        { benchSSYRK(b, 64, 2048, 1) }
+func BenchmarkSSYRK120Parallel2(b *testing.B) { benchSSYRK(b, 120, 620, 2) }
 
 // benchSSYR2K measures the packed SYR2K (SetBytes carries 2·n(n+1)k, the
 // standard SYR2K FLOP count, so the MB/s column reads as FLOP throughput).

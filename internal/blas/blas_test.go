@@ -240,7 +240,7 @@ func TestCustomParams(t *testing.T) {
 }
 
 // Property: parallel result equals serial result exactly (same summation
-// order regardless of team size, since block ownership is deterministic).
+// order regardless of team size, since row ownership is deterministic).
 func TestParallelDeterminismProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	f := func(mRaw, kRaw, nRaw, tRaw uint8) bool {

@@ -197,10 +197,7 @@ func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a,
 		return nil
 	}
 
-	// No point having workers with no MR-row band to own.
-	if threads > m/prm.MR+1 {
-		threads = m/prm.MR + 1
-	}
+	threads = clampParts(threads, m, prm.MR)
 
 	// Buffers are sized to the actual problem (grow-only), so small GEMMs
 	// do not pay for full cache-sized panels.
@@ -229,37 +226,51 @@ func gemmCtx[T float32 | float64](ctx *Context, transA, transB bool, alpha T, a,
 	return nil
 }
 
+// clampParts caps threads at the ⌈m/MR⌉ MR-row bands: a part owning no
+// band would still be woken and join every barrier.
+func clampParts(threads, m, mr int) int {
+	return min(threads, (m+mr-1)/mr)
+}
+
+// gemmRowRange returns the rows [lo, hi) part w owns: an even split of the
+// ⌈m/MR⌉ MR-row bands, so interior boundaries fall on MR multiples and parts
+// differ by at most one band.
+func gemmRowRange(m, mr, w, parts int) (lo, hi int) {
+	bands := (m + mr - 1) / mr
+	return min(bands*w/parts*mr, m), min(bands*(w+1)/parts*mr, m)
+}
+
 // gemmWorker is the per-part body of the five-loop algorithm. All parts
 // execute the same jc/pc loop structure; within each blocking iteration the
 // B panel is packed cooperatively (phase 1), a barrier publishes it, each
-// part then packs and multiplies its own band of MC blocks (phase 2), and a
-// second barrier closes the iteration before the shared B panel is reused.
-// Block ownership depends only on (w, parts), so the floating-point
-// summation order — and therefore the result — is identical for every
-// parts value.
+// part then packs and multiplies its own range of MR-row bands in MC-sized
+// chunks (phase 2), and a second barrier closes the iteration before the
+// shared B panel is reused. Ranges split the rows at register-tile rather
+// than cache-block granularity, so every part has work once m exceeds
+// (parts-1)·MR. Each MR strip is packed and multiplied the same way
+// whichever part owns it, and per-element summation order depends only on
+// the KC loop and the tile, so the result is identical for every parts
+// value.
 func gemmWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	ar := &bufs.args
 	prm := ar.prm
 	parts := ar.parts
 	m, n, k := ar.m, ar.n, ar.k
+	lo, hi := gemmRowRange(m, prm.MR, w, parts)
 	for jc := 0; jc < n; jc += prm.NC {
 		nc := min(prm.NC, n-jc)
 		nPanels := (nc + prm.NR - 1) / prm.NR
-		nBlocks := (m + prm.MC - 1) / prm.MC
 		for pc := 0; pc < k; pc += prm.KC {
 			kc := min(prm.KC, k-pc)
 			first := pc == 0
 
-			lo := nPanels * w / parts
-			hi := nPanels * (w + 1) / parts
-			packBRange(ar.b, ar.transB, pc, jc, kc, nc, lo, hi, bufs.packedB, prm.NR)
+			plo := nPanels * w / parts
+			phi := nPanels * (w + 1) / parts
+			packBRange(ar.b, ar.transB, pc, jc, kc, nc, plo, phi, bufs.packedB, prm.NR)
 			ctx.bar.wait()
 
-			blo := nBlocks * w / parts
-			bhi := nBlocks * (w + 1) / parts
-			for blk := blo; blk < bhi; blk++ {
-				ic := blk * prm.MC
-				mc := min(prm.MC, m-ic)
+			for ic := lo; ic < hi; ic += prm.MC {
+				mc := min(prm.MC, hi-ic)
 				packA(ar.a, ar.transA, ic, pc, mc, kc, bufs.packedA[w], prm.MR)
 				macroKernel(ar.alpha, bufs.packedA[w], bufs.packedB, ar.beta, ar.c, ic, jc, mc, nc, kc, first, prm)
 			}

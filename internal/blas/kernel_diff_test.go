@@ -235,6 +235,20 @@ func diffRun[T float32 | float64](t *testing.T, seed int64, eps float64) {
 			checkDiffCase[T](t, ctx, drawDiffCase(rng, op, i, at), eps, rng)
 		}
 	}
+	// Row counts at the MR-band and MC-chunk edges of the default blocking,
+	// where the parallel row split puts its part boundaries (draw index 3
+	// selects the default blocking).
+	mc := DefaultParams().MC
+	for _, m := range []int{at.mr - 1, at.mr, at.mr + 1, mc - 1, mc + 1, 2*mc + at.mr} {
+		for op := diffGEMM; op <= diffSYR2K; op++ {
+			cs := drawDiffCase(rng, op, 3, at)
+			cs.m = m
+			if op != diffGEMM {
+				cs.n = m
+			}
+			checkDiffCase[T](t, ctx, cs, eps, rng)
+		}
+	}
 }
 
 func TestKernelDifferential(t *testing.T) {

@@ -205,27 +205,47 @@ func TestSmallPathMatchesNaiveMatrix(t *testing.T) {
 }
 
 // TestPackedThreadDeterminism pins the bit-exactness guarantee on the packed
-// path: block ownership depends only on (w, parts), and per-element
-// summation order is independent of the team size, so any thread count must
-// reproduce the serial result exactly.
+// path: row ownership depends only on (w, parts), and per-element summation
+// order is independent of the team size, so any thread count must reproduce
+// the serial result exactly. Besides general shapes it runs every op at row
+// counts on the MR-band and MC-chunk edges, where part boundaries fall.
 func TestPackedThreadDeterminism(t *testing.T) {
 	forcePath(t, forcePacked)
-	rng := rand.New(rand.NewSource(22))
-	for _, sh := range [][3]int{{97, 53, 41}, {129, 256, 65}, {64, 300, 48}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randF32(m, k, rng)
-		b := randF32(k, n, rng)
-		ref := mat.NewF32(m, n)
-		if err := SGEMM(false, false, 1, a, b, 0, ref, 1); err != nil {
-			t.Fatal(err)
-		}
-		for _, threads := range []int{2, 3, 5, 8} {
-			c := mat.NewF32(m, n)
-			if err := SGEMM(false, false, 1, a, b, 0, c, threads); err != nil {
-				t.Fatal(err)
+	t.Run("f32", func(t *testing.T) { threadDeterminism[float32](t, 22) })
+	t.Run("f64", func(t *testing.T) { threadDeterminism[float64](t, 24) })
+}
+
+func threadDeterminism[T float32 | float64](t *testing.T, seed int64) {
+	prm := DefaultParams()
+	mr, mc := prm.withTile(asmTile[T]()).MR, prm.MC
+	shapes := [][3]int{{97, 53, 41}, {129, 256, 65}, {64, 300, 48}}
+	for _, m := range []int{mr - 1, mr, mr + 1, mc - 1, mc + 1, 2*mc + mr} {
+		shapes = append(shapes, [3]int{m, 37, 29})
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ctx := NewContext()
+	defer ctx.Close()
+	for op := diffGEMM; op <= diffSYR2K; op++ {
+		for _, sh := range shapes {
+			cs := diffCase{op: op, m: sh[0], k: sh[1], n: sh[2], alpha: 1, beta: -0.5, prm: prm}
+			if op != diffGEMM {
+				cs.n = cs.m
 			}
-			if d := c.MaxAbsDiff(ref); d != 0 {
-				t.Errorf("shape %v threads=%d: differs from serial by %v (want bit-identical)", sh, threads, d)
+			ar, ac, br, bc := cs.dims()
+			a := diffView[T](ar, ac, 0, rng)
+			b := diffView[T](br, bc, 0, rng)
+			c0 := diffView[T](cs.m, cs.n, 0, rng)
+			var one view[T]
+			for _, threads := range []int{1, 2, 3, 4, 5, 8} {
+				c := cloneView(c0)
+				if err := runDiff(ctx, cs, a, b, c, threads, prm); err != nil {
+					t.Fatal(err)
+				}
+				if threads == 1 {
+					one = c
+				} else if !bitsEqual(c.data, one.data) {
+					t.Errorf("op %d shape %v threads=%d: differs from serial (want bit-identical)", op, sh, threads)
+				}
 			}
 		}
 	}

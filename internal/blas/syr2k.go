@@ -17,7 +17,7 @@ import (
 // the update is two SYRK-shaped passes over the same packed buffers, the
 // first computing lower(alpha·op(A)·op(B)ᵀ + beta·C), the second
 // accumulating lower(alpha·op(B)·op(A)ᵀ) and running the band-parallel
-// mirror. Block ownership and summation order depend only on the dimensions
+// mirror. Row ownership and summation order depend only on the dimensions
 // and the blocking parameters, so results are bit-identical across thread
 // counts, and both passes reuse the context's packed panels (steady-state
 // calls allocate nothing).
@@ -120,9 +120,7 @@ func syr2kCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a, b view[
 		return nil
 	}
 
-	if threads > n/prm.MR+1 {
-		threads = n/prm.MR + 1
-	}
+	threads = clampParts(threads, n, prm.MR)
 
 	kcEff := min(prm.KC, k)
 	ncEff := min(prm.NC, (n+prm.NR-1)/prm.NR*prm.NR)

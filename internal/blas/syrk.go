@@ -22,9 +22,9 @@ import (
 // GEMM, specialised to the triangular output: op(A)ᵀ plays the role of B
 // (packBRange with the transpose flag flipped reads it straight out of A, no
 // extra buffer), macro-tiles that lie entirely above the diagonal are
-// skipped, diagonal-straddling tiles are masked at store time, and the MC
-// loop is partitioned by per-block tile weight so the triangular work stays
-// balanced across the persistent worker team.
+// skipped, diagonal-straddling tiles are masked at store time, and the rows
+// are split into MR-row band ranges of equal lower-triangle tile weight so
+// the triangular work stays balanced across the persistent worker team.
 
 // SSYRK computes the single-precision symmetric rank-k update using the
 // given number of worker goroutines (threads < 1 is treated as 1). The call
@@ -115,9 +115,7 @@ func syrkCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a view[T], 
 		return nil
 	}
 
-	if threads > n/prm.MR+1 {
-		threads = n/prm.MR + 1
-	}
+	threads = clampParts(threads, n, prm.MR)
 
 	kcEff := min(prm.KC, k)
 	ncEff := min(prm.NC, (n+prm.NR-1)/prm.NR*prm.NR)
@@ -146,11 +144,12 @@ func syrkCtx[T float32 | float64](ctx *Context, trans bool, alpha T, a view[T], 
 // syrkWorker is the per-part body of the blocked SYRK. The loop structure is
 // the GEMM five-loop with B = op(A)ᵀ: within each (jc, pc) blocking
 // iteration the shared op(A)ᵀ panel is packed cooperatively (phase 1), a
-// barrier publishes it, each part then packs and multiplies its own
-// triangular-weighted share of the MC blocks that reach the lower triangle
-// (phase 2), and a second barrier closes the iteration. Block ownership
-// depends only on (w, parts) and per-element summation order only on the
-// blocking loops, so the result is bit-identical for every parts value.
+// barrier publishes it, each part then packs and multiplies its own range
+// of MR-row bands in MC-sized chunks (phase 2), and a second barrier closes
+// the iteration. Ranges are split per panel by lower-triangle tile weight
+// (syrkRowRange) and depend only on (w, parts); per-element summation order
+// depends only on the KC loop and the tile, so the result is bit-identical
+// for every parts value.
 // After the last barrier the lower triangle is complete and each part
 // mirrors its own row band into the upper triangle.
 func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
@@ -161,6 +160,11 @@ func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	for jc := 0; jc < n; jc += prm.NC {
 		nc := min(prm.NC, n-jc)
 		nPanels := (nc + prm.NR - 1) / prm.NR
+		lo, hi := syrkRowRange(n, jc, nc, prm, w, parts)
+		// Rows above the band holding row jc lie entirely above the
+		// diagonal in this panel: skip them before paying the A-packing
+		// copy.
+		lo = max(lo, jc/prm.MR*prm.MR)
 		for pc := 0; pc < k; pc += prm.KC {
 			kc := min(prm.KC, k-pc)
 			first := pc == 0
@@ -169,22 +173,16 @@ func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 			// the transpose flag makes packBRange read its panels straight
 			// out of b (which is a itself for SYRK, the second operand for
 			// each SYR2K pass).
-			lo := nPanels * w / parts
-			hi := nPanels * (w + 1) / parts
-			packBRange(ar.b, !ar.transB, pc, jc, kc, nc, lo, hi, bufs.packedB, prm.NR)
+			plo := nPanels * w / parts
+			phi := nPanels * (w + 1) / parts
+			packBRange(ar.b, !ar.transB, pc, jc, kc, nc, plo, phi, bufs.packedB, prm.NR)
 			ctx.bar.wait()
 
-			blo, bhi := syrkBlockRange(n, jc, nc, prm, w, parts)
-			for blk := blo; blk < bhi; blk++ {
-				ic := blk * prm.MC
-				mc := min(prm.MC, n-ic)
+			for ic := lo; ic < hi; ic += prm.MC {
+				mc := min(prm.MC, hi-ic)
 				// Columns jc..jc+ncb-1 reach the lower triangle of this
-				// block (j ≤ i with i ≤ ic+mc-1); blocks entirely above the
-				// diagonal are skipped before paying the A-packing copy.
+				// chunk (j ≤ i with i ≤ ic+mc-1).
 				ncb := min(nc, ic+mc-jc)
-				if ncb <= 0 {
-					continue
-				}
 				packA(ar.a, ar.transA, ic, pc, mc, kc, bufs.packedA[w], prm.MR)
 				syrkMacroKernel(ar.alpha, bufs.packedA[w], bufs.packedB, ar.beta, ar.c, ic, jc, mc, ncb, kc, first, prm)
 			}
@@ -202,55 +200,49 @@ func syrkWorker[T float32 | float64](ctx *Context, bufs *ctxBufs[T], w int) {
 	mirrorLower(ar.c, lo, hi)
 }
 
-// syrkBlockWeight estimates the phase-2 cost of MC block blk within the
-// panel at jc: the NR tiles it computes plus one tile-equivalent for the
-// A-packing copy. Zero when the block lies entirely above the diagonal.
-func syrkBlockWeight(blk, n, jc, nc int, prm Params) int {
-	ic := blk * prm.MC
-	mc := min(prm.MC, n-ic)
-	ncb := min(nc, ic+mc-jc)
+// syrkBandWeight estimates the phase-2 cost of MR-row band b within the
+// panel at jc: the NR tiles it computes in the lower triangle plus one
+// tile-equivalent for packing it. Zero when the band lies entirely above
+// the diagonal.
+func syrkBandWeight(b, n, jc, nc int, prm Params) int {
+	ncb := min(nc, min((b+1)*prm.MR, n)-jc)
 	if ncb <= 0 {
 		return 0
 	}
 	return (ncb+prm.NR-1)/prm.NR + 1
 }
 
-// syrkBlockRange returns the half-open MC-block range owned by part w in the
-// jc panel. Blocks are split by cumulative tile weight — the SYRK analogue
-// of triangularBands, applied per panel so every barrier phase is balanced
-// — and the split depends only on (n, jc, nc, prm, parts), never on timing,
-// preserving deterministic ownership.
-func syrkBlockRange(n, jc, nc int, prm Params, w, parts int) (blo, bhi int) {
-	nBlocks := (n + prm.MC - 1) / prm.MC
+// syrkRowRange returns the rows [lo, hi) part w owns in the jc panel. The
+// MR-row bands are split by cumulative syrkBandWeight, per panel so every
+// barrier phase is balanced: a part's weight exceeds its even share by at
+// most one band's. Interior boundaries fall on MR multiples, and the split
+// depends only on (n, jc, nc, prm, parts), never on timing.
+func syrkRowRange(n, jc, nc int, prm Params, w, parts int) (lo, hi int) {
 	if parts <= 1 {
-		return 0, nBlocks
+		return 0, n
 	}
+	bands := (n + prm.MR - 1) / prm.MR
 	total := 0
-	for blk := 0; blk < nBlocks; blk++ {
-		total += syrkBlockWeight(blk, n, jc, nc, prm)
+	for b := 0; b < bands; b++ {
+		total += syrkBandWeight(b, n, jc, nc, prm)
 	}
-	if total == 0 {
-		return 0, 0
-	}
-	// bound(x) = first block whose weight prefix reaches x·total/parts.
+	// Part w starts at the first band whose weight prefix reaches
+	// w·total/parts and ends where part w+1 starts.
 	loTarget := total * w / parts
 	hiTarget := total * (w + 1) / parts
+	blo, bhi := bands, bands
 	acc := 0
-	blo, bhi = nBlocks, nBlocks
-	for blk := 0; blk < nBlocks; blk++ {
-		if acc >= loTarget && blo == nBlocks {
-			blo = blk
+	for b := 0; b < bands; b++ {
+		if acc >= loTarget && blo == bands {
+			blo = b
 		}
 		if acc >= hiTarget {
-			bhi = blk
+			bhi = b
 			break
 		}
-		acc += syrkBlockWeight(blk, n, jc, nc, prm)
+		acc += syrkBandWeight(b, n, jc, nc, prm)
 	}
-	if blo > bhi {
-		blo = bhi
-	}
-	return blo, bhi
+	return min(blo*prm.MR, n), min(bhi*prm.MR, n)
 }
 
 // syrkMacroKernel multiplies the packed mc×kc A block with the packed
@@ -396,8 +388,7 @@ func mirrorLower[T float32 | float64](c view[T], lo, hi int) {
 }
 
 // mirrorRange returns the mirror-pass row band of part w: row i carries
-// n-1-i copies, so bands are sized by that reversed-triangular weight (the
-// counterpart of triangularBands, computed without allocating).
+// n-1-i copies, so bands are sized by that reversed-triangular weight.
 func mirrorRange(n, w, parts int) (lo, hi int) {
 	if parts <= 1 {
 		return 0, n

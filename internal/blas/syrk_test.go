@@ -1,7 +1,9 @@
 package blas
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mat"
@@ -160,7 +162,7 @@ func TestDSYRKMatchesNaiveMatrix(t *testing.T) {
 }
 
 // TestSyrkThreadDeterminism pins the bit-exactness guarantee on the packed
-// SYRK path: block ownership and the mirror band split affect only which
+// SYRK path: row ownership and the mirror band split affect only which
 // worker computes an element, never its summation order, so any thread
 // count must reproduce the serial result exactly.
 func TestSyrkThreadDeterminism(t *testing.T) {
@@ -290,81 +292,94 @@ func TestSSYRKAlphaZero(t *testing.T) {
 	}
 }
 
-// triangularBands returns threads+1 row boundaries splitting the lower
-// triangle of an n×n matrix into bands of roughly equal element count (row i
-// carries i+1 elements). It was the pre-packed SSYRK's partitioner; the
-// packed path splits per panel with syrkBlockRange instead, so it survives
-// only as the reference the partition tests compare intuitions against.
-func triangularBands(n, threads int) []int {
-	total := float64(n) * float64(n+1) / 2
-	bounds := make([]int, threads+1)
-	bounds[threads] = n
-	row := 0
-	var acc float64
-	for b := 1; b < threads; b++ {
-		target := total * float64(b) / float64(threads)
-		for row < n && acc < target {
-			row++
-			acc += float64(row)
-		}
-		bounds[b] = row
-	}
-	return bounds
-}
-
-func TestTriangularBands(t *testing.T) {
-	for _, tc := range []struct{ n, threads int }{{10, 3}, {100, 8}, {5, 5}, {7, 1}} {
-		b := triangularBands(tc.n, tc.threads)
-		if len(b) != tc.threads+1 || b[0] != 0 || b[tc.threads] != tc.n {
-			t.Fatalf("n=%d t=%d: bounds %v", tc.n, tc.threads, b)
-		}
-		for i := 1; i <= tc.threads; i++ {
-			if b[i] < b[i-1] {
-				t.Fatalf("bounds not monotone: %v", b)
-			}
-		}
-		// Element counts roughly balanced (within 2x of ideal for n >> t).
-		if tc.n >= 10*tc.threads {
-			ideal := float64(tc.n) * float64(tc.n+1) / 2 / float64(tc.threads)
-			for i := 1; i <= tc.threads; i++ {
-				var count float64
-				for r := b[i-1]; r < b[i]; r++ {
-					count += float64(r + 1)
-				}
-				if count > 2*ideal {
-					t.Errorf("band %d has %v elements, ideal %v", i, count, ideal)
-				}
-			}
+// TestClampParts checks the thread clamp against the MR-row band count.
+func TestClampParts(t *testing.T) {
+	for _, tc := range []struct{ threads, m, mr, want int }{
+		{1, 1, 8, 1},
+		{2, 7, 8, 1},
+		{2, 8, 8, 1}, // exactly one band: no idle second part
+		{2, 9, 8, 2},
+		{4, 16, 8, 2},
+		{4, 17, 8, 3},
+		{3, 640, 8, 3},
+		{16, 100, 4, 16},
+		{32, 100, 4, 25},
+	} {
+		if got := clampParts(tc.threads, tc.m, tc.mr); got != tc.want {
+			t.Errorf("clampParts(%d, m=%d, MR=%d) = %d, want %d", tc.threads, tc.m, tc.mr, got, tc.want)
 		}
 	}
 }
 
-// TestSyrkBlockRangePartition checks that the per-panel block partition is a
-// disjoint contiguous cover of all blocks for every worker count.
-func TestSyrkBlockRangePartition(t *testing.T) {
-	prm := DefaultParams().withTile(asmTileF32)
-	for _, n := range []int{1, 100, 257, 1000} {
-		for _, parts := range []int{1, 2, 3, 7, 16} {
-			for jc := 0; jc < n; jc += prm.NC {
-				nc := min(prm.NC, n-jc)
-				nBlocks := (n + prm.MC - 1) / prm.MC
-				next := 0
-				for w := 0; w < parts; w++ {
-					blo, bhi := syrkBlockRange(n, jc, nc, prm, w, parts)
-					if blo != next {
-						t.Fatalf("n=%d parts=%d jc=%d w=%d: range starts at %d, want %d", n, parts, jc, w, blo, next)
+// TestRowRangePartition checks both row splits, GEMM's even band split and
+// SYRK's per-panel weighted one: part ranges are contiguous, cover [0, n)
+// with interior boundaries on MR multiples, GEMM parts differ by at most
+// one band, and no SYRK part carries more than its even share of the
+// panel's tile weight plus one band's.
+func TestRowRangePartition(t *testing.T) {
+	prms := []Params{
+		DefaultParams().withTile(asmTileF32),
+		{MC: 64, KC: 64, NC: 96, MR: 4, NR: 4}, // several jc panels
+	}
+	for _, prm := range prms {
+		for _, n := range []int{1, 7, 8, 100, 129, 257, 768, 1000} {
+			for _, parts := range []int{1, 2, 3, 4, 7, 16} {
+				for jc := 0; jc < n; jc += prm.NC {
+					nc := min(prm.NC, n-jc)
+					name := fmt.Sprintf("MR=%d NC=%d n=%d parts=%d jc=%d", prm.MR, prm.NC, n, parts, jc)
+
+					bands := checkRowRanges(t, "gemm "+name, n, prm.MR, parts, func(w int) (int, int) {
+						return gemmRowRange(n, prm.MR, w, parts)
+					}, func(int) int { return 1 })
+					if lo, hi := slices.Min(bands), slices.Max(bands); hi-lo > 1 {
+						t.Errorf("gemm %s: parts own %v bands, want at most one apart", name, bands)
 					}
-					if bhi < blo {
-						t.Fatalf("n=%d parts=%d jc=%d w=%d: inverted range [%d,%d)", n, parts, jc, w, blo, bhi)
+
+					weight := func(b int) int { return syrkBandWeight(b, n, jc, nc, prm) }
+					total, maxBand := 0, 0
+					for b := 0; b*prm.MR < n; b++ {
+						total += weight(b)
+						maxBand = max(maxBand, weight(b))
 					}
-					next = bhi
-				}
-				if next != nBlocks {
-					t.Fatalf("n=%d parts=%d jc=%d: partition covers %d of %d blocks", n, parts, jc, next, nBlocks)
+					weights := checkRowRanges(t, "syrk "+name, n, prm.MR, parts, func(w int) (int, int) {
+						return syrkRowRange(n, jc, nc, prm, w, parts)
+					}, weight)
+					for w, got := range weights {
+						// got ≤ total/parts + maxBand, in integers.
+						if got*parts > total+maxBand*parts {
+							t.Errorf("syrk %s w=%d: weight %d over even share %d/%d plus one band (%d)", name, w, got, total, parts, maxBand)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// checkRowRanges checks that the ranges of parts 0..parts-1 cover [0, n)
+// contiguously with interior boundaries on MR multiples, and returns each
+// part's summed band weight.
+func checkRowRanges(t *testing.T, name string, n, mr, parts int, rowRange func(w int) (lo, hi int), weight func(b int) int) []int {
+	t.Helper()
+	sums := make([]int, parts)
+	next := 0
+	for w := range sums {
+		lo, hi := rowRange(w)
+		if lo != next || hi < lo {
+			t.Fatalf("%s w=%d: range [%d,%d), want start %d", name, w, lo, hi, next)
+		}
+		if hi != n && hi%mr != 0 {
+			t.Fatalf("%s w=%d: boundary %d not a multiple of MR=%d", name, w, hi, mr)
+		}
+		for b := lo / mr; b*mr < hi; b++ {
+			sums[w] += weight(b)
+		}
+		next = hi
+	}
+	if next != n {
+		t.Fatalf("%s: ranges cover [0,%d) of [0,%d)", name, next, n)
+	}
+	return sums
 }
 
 // TestMirrorRangePartition checks the mirror-band split covers every row
